@@ -47,7 +47,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"chaseterm/internal/acyclicity"
@@ -373,20 +372,28 @@ func (r *ChaseResult) Query(body string, answerVars ...string) ([][]string, erro
 	}
 	seen := make(map[string]bool)
 	var out [][]string
+	var key []byte
 	r.inst.FindHoms(pat, nil, func(binding []instance.TermID) bool {
-		tuple := make([]string, len(proj))
+		key = key[:0]
 		for i, idx := range proj {
 			t := binding[idx]
 			if r.inst.Terms.IsInvented(t) {
 				return true // not a certain answer
 			}
-			tuple[i] = r.inst.Terms.String(t)
+			if i > 0 {
+				key = append(key, 0)
+			}
+			key = r.inst.Terms.AppendTerm(key, t)
 		}
-		key := strings.Join(tuple, "\x00")
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, tuple)
+		if seen[string(key)] {
+			return true
 		}
+		seen[string(key)] = true
+		tuple := make([]string, len(proj))
+		for i, idx := range proj {
+			tuple[i] = r.inst.Terms.String(binding[idx])
+		}
+		out = append(out, tuple)
 		return true
 	})
 	sort.Slice(out, func(i, j int) bool {

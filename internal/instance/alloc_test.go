@@ -166,3 +166,59 @@ func TestFindHomsRejectsOversizedInitial(t *testing.T) {
 	}()
 	in.FindHoms(pat, []TermID{0, 1, 2}, func([]TermID) bool { return true })
 }
+
+// buildSkolemInstance holds n facts p(c_i, f0_Y(g_Z(c_i))) for the
+// rendering pins: every fact carries a nested Skolem term.
+func buildSkolemInstance(n int) *Instance {
+	in := New()
+	p := in.Pred("p", 2)
+	f, g := in.Terms.SkolemFn("f0_Y"), in.Terms.SkolemFn("g_Z")
+	for i := 0; i < n; i++ {
+		c := in.Terms.Const(fmt.Sprintf("c%d", i))
+		in.Add(p, []TermID{c, in.Terms.Skolem(f, []TermID{in.Terms.Skolem(g, []TermID{c})})})
+	}
+	return in
+}
+
+func TestAppendFactAllocFree(t *testing.T) {
+	in := buildSkolemInstance(4)
+	in.Terms.FreshNull(0)
+	buf := make([]byte, 0, 256)
+	if n := testing.AllocsPerRun(200, func() {
+		buf = in.AppendFact(buf[:0], 3)
+	}); n != 0 {
+		t.Errorf("AppendFact with spare capacity allocates %v per run, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		buf = in.Terms.AppendTerm(buf[:0], TermID(in.Terms.Len()-1))
+	}); n != 0 {
+		t.Errorf("AppendTerm of a null allocates %v per run, want 0", n)
+	}
+}
+
+// renderSink keeps rendered strings escaping, as real callers' do.
+var renderSink string
+
+func TestFactStringOneAlloc(t *testing.T) {
+	in := buildSkolemInstance(4)
+	if n := testing.AllocsPerRun(200, func() {
+		renderSink = in.FactString(3)
+	}); n != 1 {
+		t.Errorf("FactString allocates %v per run, want 1 (the result string)", n)
+	}
+}
+
+// TestRenderFactsConstantAllocs: rendering a range costs one string
+// however many facts it holds, once the caller reuses its scratch and dst.
+func TestRenderFactsConstantAllocs(t *testing.T) {
+	in := buildSkolemInstance(1024)
+	for _, size := range []FactID{256, 1024} {
+		var sc RenderScratch
+		dst := in.RenderFacts(&sc, nil, 0, size) // grow dst and the scratch
+		if n := testing.AllocsPerRun(100, func() {
+			dst = in.RenderFacts(&sc, dst[:0], 0, size)
+		}); n != 1 {
+			t.Errorf("RenderFacts of %d facts allocates %v per run, want 1", size, n)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package instance
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync/atomic"
 
 	"chaseterm/internal/logic"
@@ -349,26 +348,77 @@ func FromAtoms(atoms []logic.Atom) (*Instance, error) {
 	return in, nil
 }
 
-// FactString renders a fact for diagnostics.
+// FactString renders one fact in the surface syntax (see AppendFact).
+// It costs one allocation when the text fits the stack buffer; callers
+// rendering many facts should use RenderFacts.
 func (in *Instance) FactString(id FactID) string {
-	f := in.facts[id]
+	var buf [128]byte
+	return string(in.AppendFact(buf[:0], id))
+}
+
+// AppendFact appends the surface rendering of a fact to dst and returns
+// the extended slice: "p(t1,...,tn)", or the bare predicate name for a
+// 0-ary fact. It allocates only when dst must grow.
+//
+//chaselint:hotpath
+func (in *Instance) AppendFact(dst []byte, id FactID) []byte {
+	f := &in.facts[id]
+	dst = append(dst, in.predNames[f.Pred]...)
 	if len(f.Args) == 0 {
-		return in.predNames[f.Pred]
+		return dst
 	}
-	parts := make([]string, len(f.Args))
+	dst = append(dst, '(')
 	for i, a := range f.Args {
-		parts[i] = in.Terms.String(a)
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = in.Terms.AppendTerm(dst, a)
 	}
-	return in.predNames[f.Pred] + "(" + strings.Join(parts, ",") + ")"
+	return append(dst, ')')
+}
+
+// RenderScratch is the reusable working memory of RenderFacts: the byte
+// buffer facts are appended into and the end offset of each fact. The
+// zero value is ready to use; like MatchScratch, a scratch must not be
+// shared by concurrent calls.
+type RenderScratch struct {
+	buf  []byte
+	ends []int
+}
+
+// RenderFacts appends the renderings of the facts [lo, hi) to dst, in id
+// order, and returns the extended slice. All of them are rendered into
+// one buffer that becomes one string, and the entries are substrings of
+// it: retaining any one entry keeps the text of the whole range alive.
+// A caller rendering range after range passes the same scratch, so each
+// call costs one string allocation (plus growth of dst) however many
+// facts it renders; a nil scratch uses a temporary one.
+func (in *Instance) RenderFacts(sc *RenderScratch, dst []string, lo, hi FactID) []string {
+	if lo >= hi {
+		return dst
+	}
+	if sc == nil {
+		sc = new(RenderScratch)
+	}
+	buf, ends := sc.buf[:0], sc.ends[:0]
+	for id := lo; id < hi; id++ {
+		buf = in.AppendFact(buf, id)
+		ends = append(ends, len(buf))
+	}
+	sc.buf, sc.ends = buf, ends
+	text := string(buf)
+	start := 0
+	for _, end := range ends {
+		dst = append(dst, text[start:end])
+		start = end
+	}
+	return dst
 }
 
 // Strings renders every fact, sorted lexicographically — convenient for
 // tests and goldens.
 func (in *Instance) Strings() []string {
-	out := make([]string, len(in.facts))
-	for i := range in.facts {
-		out[i] = in.FactString(FactID(i))
-	}
+	out := in.RenderFacts(nil, make([]string, 0, len(in.facts)), 0, FactID(len(in.facts)))
 	sort.Strings(out)
 	return out
 }

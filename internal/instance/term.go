@@ -29,8 +29,7 @@
 package instance
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 	"sync/atomic"
 )
 
@@ -141,7 +140,7 @@ func (t *TermTable) FreshNull(depth int32) TermID {
 	}
 	id := TermID(len(t.infos))
 	t.nulls++
-	// The "z<n>" display name is rendered lazily by Name/String so that
+	// The "z<n>" display name is rendered lazily by AppendTerm so that
 	// inventing a null costs no formatting allocation on the chase path.
 	t.infos = append(t.infos, termInfo{kind: KindNull, aux: int32(t.nulls), depth: depth})
 	return id
@@ -261,7 +260,7 @@ func (t *TermTable) Name(id TermID) string {
 	in := &t.infos[id]
 	switch in.kind {
 	case KindNull:
-		return fmt.Sprintf("z%d", in.aux)
+		return t.String(id)
 	case KindSkolem:
 		return t.fnNames[in.aux]
 	default:
@@ -269,19 +268,39 @@ func (t *TermTable) Name(id TermID) string {
 	}
 }
 
-// String renders the term for diagnostics.
+// String renders the term in the surface syntax (see AppendTerm).
+// Constants return their interned name without allocating; any other
+// term costs one allocation if its text fits the stack buffer.
 func (t *TermTable) String(id TermID) string {
-	in := t.infos[id]
+	if in := &t.infos[id]; in.kind == KindConst {
+		return in.name
+	}
+	var buf [64]byte
+	return string(t.AppendTerm(buf[:0], id))
+}
+
+// AppendTerm appends the surface rendering of a term to dst and returns
+// the extended slice: a constant's name, "z<n>" for a null, and
+// fn(arg,...) for a Skolem term, recursively. It allocates only when dst
+// must grow.
+//
+//chaselint:hotpath
+func (t *TermTable) AppendTerm(dst []byte, id TermID) []byte {
+	in := &t.infos[id]
 	switch in.kind {
 	case KindConst:
-		return in.name
+		return append(dst, in.name...)
 	case KindNull:
-		return fmt.Sprintf("z%d", in.aux)
+		return strconv.AppendInt(append(dst, 'z'), int64(in.aux), 10)
 	default:
-		parts := make([]string, len(in.args))
+		dst = append(dst, t.fnNames[in.aux]...)
+		dst = append(dst, '(')
 		for i, a := range in.args {
-			parts[i] = t.String(a)
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = t.AppendTerm(dst, a)
 		}
-		return t.fnNames[in.aux] + "(" + strings.Join(parts, ",") + ")"
+		return append(dst, ')')
 	}
 }

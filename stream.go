@@ -20,6 +20,9 @@ type ChaseSink interface {
 	// library's surface syntax (e.g. "hasFather(bob,f0_Y(bob))"), in
 	// derivation order and without duplicates. The slice is reused
 	// between calls: copy it if the sink retains facts past the call.
+	// The strings themselves stay valid, but all strings of one batch
+	// share one backing string, so a sink that keeps one fact keeps its
+	// whole batch's text alive; keep strings.Clone(fact) to hold less.
 	// stats is the running total at emission time.
 	EmitFacts(facts []string, stats ChaseStats)
 	// Progress is a liveness heartbeat delivered between batches (every
@@ -36,19 +39,24 @@ type ChaseSink interface {
 const streamBatchSize = 256
 
 // sinkAdapter bridges the engine-level chase.StreamSink (FactID ranges
-// over the live instance) to the public ChaseSink (rendered batches),
-// coalescing per-application ranges into batches of streamBatchSize.
+// over the live instance) to the public ChaseSink (rendered batches). The
+// engine's ranges tile the derived suffix in order, so the adapter only
+// extends the pending range [lo, hi) and renders it in one RenderFacts
+// call when a batch of streamBatchSize facts is due or a flush is forced.
 type sinkAdapter struct {
-	in   *instance.Instance
-	sink ChaseSink
-	buf  []string
+	in     *instance.Instance
+	sink   ChaseSink
+	lo, hi instance.FactID
+	buf    []string
+	render instance.RenderScratch
 }
 
 func (a *sinkAdapter) EmitFacts(lo, hi instance.FactID, stats chase.Stats) {
-	for id := lo; id < hi; id++ {
-		a.buf = append(a.buf, a.in.FactString(id))
+	if a.lo == a.hi {
+		a.lo = lo
 	}
-	if len(a.buf) >= streamBatchSize {
+	a.hi = hi
+	if a.hi-a.lo >= streamBatchSize {
 		a.flush(stats)
 	}
 }
@@ -60,13 +68,15 @@ func (a *sinkAdapter) Progress(stats chase.Stats) {
 	a.sink.Progress(toChaseStats(stats))
 }
 
-// flush hands the buffered batch to the sink and recycles the buffer.
+// flush renders the pending range and hands it to the sink as one batch,
+// recycling the batch slice.
 func (a *sinkAdapter) flush(stats chase.Stats) {
-	if len(a.buf) == 0 {
+	if a.lo == a.hi {
 		return
 	}
+	a.buf = a.in.RenderFacts(&a.render, a.buf[:0], a.lo, a.hi)
+	a.lo = a.hi
 	a.sink.EmitFacts(a.buf, toChaseStats(stats))
-	a.buf = a.buf[:0]
 }
 
 func toChaseStats(s chase.Stats) ChaseStats {
